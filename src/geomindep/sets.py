@@ -4,8 +4,16 @@ Two immutable representations cover every event this package handles:
 
 * ``FiniteSet`` -- an explicit sorted tuple of elements.
 * ``EPSet`` -- eventually periodic membership: position x < plen is a
-  member iff x is in ``pre``; position x >= plen is a member iff
-  ((x - plen) mod qlen) is in ``off``.
+  member iff bit x of ``pre_bits`` is set; position x >= plen is a member
+  iff bit ((x - plen) mod qlen) of ``off_bits`` is set.
+
+An EPSet keeps its two patterns as Python ints used as bitsets, and every
+operation computes on whole ints: membership is a shift, complement an
+XOR, and union, intersection and difference one bitwise operation on
+windows over the common preperiod and ``lcm`` period, each window a
+pattern repeated by doubling shifts.  The tuples ``pre`` and ``off`` (the
+member positions of each pattern) are a read-only view built on demand,
+so the text forms are unchanged.
 
 ``EPSet.__post_init__`` rewrites the representation to the canonical one
 (minimal period, then minimal preperiod), so structural equality of two
@@ -15,7 +23,9 @@ EPSets decides extensional equality.  Both classes support ``in``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import lcm
+from operator import and_, or_
 from typing import Callable, Union
 
 
@@ -39,50 +49,127 @@ class FiniteSet:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
+# bin() digits to 0/1 bytes, so compress() can select positions in C
+_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def bitset(positions) -> int:
+    """The bitset with exactly the given (natural) positions set."""
+    if not positions:
+        return 0
+    digits = bytearray(b"0") * (max(positions) + 1)
+    for p in positions:
+        digits[~p] = 49  # ord("1"); the most significant digit comes first
+    return int(digits, 2)
+
+
+def _positions(bits: int) -> tuple[int, ...]:
+    """The set positions of a bitset, ascending."""
+    digits = bin(bits)[:1:-1].encode().translate(_DIGIT_BITS)
+    return tuple(compress(range(len(digits)), digits))
+
+
+def _repeat(pattern: int, width: int, n: int) -> int:
+    """A width-bit pattern repeated from bit 0 upwards, cut to n bits."""
+    while width < n:
+        pattern |= pattern << width
+        width *= 2
+    return pattern & ((1 << n) - 1) if n > 0 else 0
+
+
+def _rotate_right(bits: int, k: int, width: int) -> int:
+    """Bit (i + k) mod width of a width-bit pattern moved to bit i."""
+    k %= width
+    return (bits >> k) | ((bits & ((1 << k) - 1)) << (width - k))
+
+
+def _prime_factors(n: int) -> list[int]:
+    out, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+@dataclass(frozen=True, init=False, repr=False)
 class EPSet:
-    plen: int = 0
-    pre: tuple[int, ...] = ()
-    qlen: int = 1
-    off: tuple[int, ...] = ()
+    plen: int
+    pre_bits: int
+    qlen: int
+    off_bits: int
+
+    def __init__(self, plen: int = 0, pre: tuple[int, ...] = (), qlen: int = 1,
+                 off: tuple[int, ...] = ()) -> None:
+        if not isinstance(plen, int) or plen < 0:
+            raise ValueError("preperiod length must be a natural")
+        if not isinstance(qlen, int) or qlen < 1:
+            raise ValueError("period length must be >= 1")
+        if not all(isinstance(p, int) and 0 <= p < plen for p in pre):
+            raise ValueError("pre must lie in [0, plen)")
+        if not all(isinstance(o, int) and 0 <= o < qlen for o in off):
+            raise ValueError("off must lie in [0, qlen)")
+        self._assign(plen, bitset(pre), qlen, bitset(off))
+        self.__post_init__()
+
+    @classmethod
+    def _from_bits(cls, plen: int, pre_bits: int, qlen: int, off_bits: int) -> EPSet:
+        """The canonical set of valid patterns: pre_bits < 2^plen, off_bits < 2^qlen."""
+        s = cls.__new__(cls)
+        s._assign(plen, pre_bits, qlen, off_bits)
+        s.__post_init__()
+        return s
+
+    def _assign(self, plen: int, pre_bits: int, qlen: int, off_bits: int) -> None:
+        object.__setattr__(self, "plen", plen)
+        object.__setattr__(self, "pre_bits", pre_bits)
+        object.__setattr__(self, "qlen", qlen)
+        object.__setattr__(self, "off_bits", off_bits)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.plen, int) or self.plen < 0:
-            raise ValueError("preperiod length must be a natural")
-        if not isinstance(self.qlen, int) or self.qlen < 1:
-            raise ValueError("period length must be >= 1")
-        pre = set(self.pre)
-        off = set(self.off)
-        if not all(isinstance(p, int) and 0 <= p < self.plen for p in pre):
-            raise ValueError("pre must lie in [0, plen)")
-        if not all(isinstance(o, int) and 0 <= o < self.qlen for o in off):
-            raise ValueError("off must lie in [0, qlen)")
-        plen, qlen = self.plen, self.qlen
-        # minimal period: smallest divisor of qlen that regenerates the pattern
-        for q in range(1, qlen + 1):
-            if qlen % q:
-                continue
-            base = {o for o in off if o < q}
-            if all((o in off) == (o % q in base) for o in range(qlen)):
-                qlen, off = q, base
-                break
-        # minimal preperiod: fold trailing prefix positions into the period,
-        # rotating the offsets one step each time
-        while plen > 0 and ((plen - 1) in pre) == ((qlen - 1) in off):
-            pre.discard(plen - 1)
-            plen -= 1
-            off = {(o + 1) % qlen for o in off}
-        object.__setattr__(self, "plen", plen)
-        object.__setattr__(self, "pre", tuple(sorted(pre)))
-        object.__setattr__(self, "qlen", qlen)
-        object.__setattr__(self, "off", tuple(sorted(off)))
+        plen, pre, qlen, off = self.plen, self.pre_bits, self.qlen, self.off_bits
+        # minimal period: the periods of a cyclic pattern that divide qlen are
+        # the multiples of the minimal one, so divide out one prime at a time
+        # while the pattern still repeats with the smaller period
+        for f in _prime_factors(qlen):
+            while qlen % f == 0:
+                q = qlen // f
+                # period q: bit i equals bit i + q for every i < qlen - q
+                if off >> q != off ^ ((off >> (qlen - q)) << (qlen - q)):
+                    break
+                qlen, off = q, off & ((1 << q) - 1)
+        # minimal preperiod: fold every trailing prefix position that agrees
+        # with the period extended backwards, rotating the pattern as it moves
+        if plen:
+            back = _repeat(_rotate_right(off, -plen, qlen), qlen, plen)
+            fold = plen - (pre ^ back).bit_length()
+            if fold:
+                plen -= fold
+                pre &= (1 << plen) - 1
+                off = _rotate_right(off, -fold, qlen)
+        self._assign(plen, pre, qlen, off)
+
+    @property
+    def pre(self) -> tuple[int, ...]:
+        return _positions(self.pre_bits)
+
+    @property
+    def off(self) -> tuple[int, ...]:
+        return _positions(self.off_bits)
+
+    def __repr__(self) -> str:
+        return f"EPSet(plen={self.plen}, pre={self.pre}, qlen={self.qlen}, off={self.off})"
 
     def __contains__(self, k: int) -> bool:
         if k < 0:
             return False
         if k < self.plen:
-            return k in self.pre
-        return ((k - self.plen) % self.qlen) in self.off
+            return bool(self.pre_bits >> k & 1)
+        return bool(self.off_bits >> ((k - self.plen) % self.qlen) & 1)
 
 
 SetSpec = Union[FiniteSet, EPSet]
@@ -104,18 +191,28 @@ def to_epset(s: SetSpec) -> EPSet:
     return EPSet(s.elements[-1] + 1, s.elements, 1, ())
 
 
-def _combine(a: EPSet, b: EPSet, fn: Callable[[bool, bool], bool]) -> EPSet:
+def _window(s: EPSet, n: int) -> int:
+    """Membership of positions [0, n) as a bitset."""
+    body = _repeat(s.off_bits, s.qlen, n - s.plen) << s.plen
+    return (s.pre_bits | body) & ((1 << n) - 1)
+
+
+def _combine(a: EPSet, b: EPSet, op: Callable[[int, int], int]) -> EPSet:
+    """The set whose membership is op applied bitwise to a's and b's."""
     plen = max(a.plen, b.plen)
     qlen = lcm(a.qlen, b.qlen)
-    pre = tuple(k for k in range(plen) if fn(k in a, k in b))
-    off = tuple(o for o in range(qlen) if fn((plen + o) in a, (plen + o) in b))
-    return EPSet(plen, pre, qlen, off)
+    bits = op(_window(a, plen + qlen), _window(b, plen + qlen))
+    return EPSet._from_bits(plen, bits & ((1 << plen) - 1), qlen, bits >> plen)
+
+
+def _and_not(x: int, y: int) -> int:
+    return x & ~y
 
 
 def union(a: SetSpec, b: SetSpec) -> SetSpec:
     if isinstance(a, FiniteSet) and isinstance(b, FiniteSet):
         return FiniteSet(a.elements + b.elements)
-    return _combine(to_epset(a), to_epset(b), lambda x, y: x or y)
+    return _combine(to_epset(a), to_epset(b), or_)
 
 
 def intersect(a: SetSpec, b: SetSpec) -> SetSpec:
@@ -124,20 +221,19 @@ def intersect(a: SetSpec, b: SetSpec) -> SetSpec:
         return FiniteSet(tuple(e for e in a if e in b))
     if isinstance(b, FiniteSet):
         return FiniteSet(tuple(e for e in b if e in a))
-    return _combine(a, b, lambda x, y: x and y)
+    return _combine(a, b, and_)
 
 
 def diff(a: SetSpec, b: SetSpec) -> SetSpec:
     if isinstance(a, FiniteSet):
         return FiniteSet(tuple(e for e in a if e not in b))
-    return _combine(a, to_epset(b), lambda x, y: x and not y)
+    return _combine(a, to_epset(b), _and_not)
 
 
 def complement(s: SetSpec) -> EPSet:
     e = to_epset(s)
-    pre = tuple(k for k in range(e.plen) if k not in e.pre)
-    off = tuple(o for o in range(e.qlen) if o not in e.off)
-    return EPSet(e.plen, pre, e.qlen, off)
+    return EPSet._from_bits(e.plen, e.pre_bits ^ ((1 << e.plen) - 1),
+                            e.qlen, e.off_bits ^ ((1 << e.qlen) - 1))
 
 
 def translate(s: SetSpec, t: int) -> SetSpec:
@@ -146,7 +242,7 @@ def translate(s: SetSpec, t: int) -> SetSpec:
         raise ValueError("translation must be by a natural")
     if isinstance(s, FiniteSet):
         return FiniteSet(tuple(e + t for e in s))
-    return EPSet(s.plen + t, tuple(p + t for p in s.pre), s.qlen, s.off)
+    return EPSet._from_bits(s.plen + t, s.pre_bits << t, s.qlen, s.off_bits)
 
 
 def minkowski(e: FiniteSet, t: SetSpec) -> SetSpec:
@@ -167,7 +263,7 @@ def prefix(s: SetSpec, n: int) -> FiniteSet:
         raise ValueError("prefix bound must be a natural")
     if isinstance(s, FiniteSet):
         return FiniteSet(tuple(e for e in s if e <= n))
-    return FiniteSet(tuple(k for k in range(n + 1) if k in s))
+    return FiniteSet(_positions(_window(s, n + 1)))
 
 
 def sets_equal(a: SetSpec, b: SetSpec) -> bool:
@@ -178,7 +274,7 @@ def sets_equal(a: SetSpec, b: SetSpec) -> bool:
 def is_empty(s: SetSpec) -> bool:
     if isinstance(s, FiniteSet):
         return not s.elements
-    return not (s.pre or s.off)
+    return not (s.pre_bits or s.off_bits)
 
 
 def is_subset(a: SetSpec, b: SetSpec) -> bool:
@@ -193,21 +289,16 @@ def from_predicate(pred: Callable[[int], bool], plen: int, qlen: int) -> EPSet:
     """
     if plen < 0 or qlen < 1:
         raise ValueError("need plen >= 0 and qlen >= 1")
-    pre = tuple(k for k in range(plen) if pred(k))
-    off = tuple(o for o in range(qlen) if pred(plen + o))
-    return EPSet(plen, pre, qlen, off)
+    pre = [k for k in range(plen) if pred(k)]
+    off = [o for o in range(qlen) if pred(plen + o)]
+    return EPSet._from_bits(plen, bitset(pre), qlen, bitset(off))
 
 
 def rebased(s: EPSet, min_plen: int) -> tuple[int, tuple[int, ...], int, tuple[int, ...]]:
     """A non-canonical (plen, pre, qlen, off) view of s with plen >= min_plen.
 
-    Unrolls the period one position at a time; the extension is unchanged.
+    Moves the period start forward; the extension is unchanged.
     """
-    plen, qlen = s.plen, s.qlen
-    pre, off = set(s.pre), set(s.off)
-    while plen < min_plen:
-        if 0 in off:
-            pre.add(plen)
-        off = {(o - 1) % qlen for o in off}
-        plen += 1
-    return plen, tuple(sorted(pre)), qlen, tuple(sorted(off))
+    plen = max(s.plen, min_plen)
+    off = _rotate_right(s.off_bits, plen - s.plen, s.qlen)
+    return plen, _positions(_window(s, plen)), s.qlen, _positions(off)

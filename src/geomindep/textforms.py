@@ -12,7 +12,9 @@ Parse errors carry the 0-based offset of the first offending character.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from operator import ge
 
 from .polynomials import Polynomial
 from .sets import EPSet, FiniteSet, SetSpec
@@ -61,18 +63,24 @@ class _Cursor:
             raise ParseError("trailing input", self.pos)
 
 
+_NATURALS_LIST = re.compile(r"[0-9]+(?:,[0-9]+)*")
+
+
 def _ascending_naturals(c: _Cursor) -> tuple[int, ...]:
-    out: list[int] = []
-    if _is_digit(c.peek()):
-        out.append(c.natural())
-        while c.peek() == ",":
-            c.take(",")
-            start = c.pos
-            v = c.natural()
-            if v <= out[-1]:
-                raise ParseError("elements must be strictly ascending", start)
-            out.append(v)
-    return tuple(out)
+    m = _NATURALS_LIST.match(c.text, c.pos)
+    if not m:
+        return ()
+    tokens = m.group().split(",")
+    out = tuple(map(int, tokens))
+    if any(map(ge, out, out[1:])):
+        i = next(i for i in range(1, len(out)) if out[i] <= out[i - 1])
+        start = c.pos + sum(len(t) + 1 for t in tokens[:i])
+        raise ParseError("elements must be strictly ascending", start)
+    c.pos = m.end()
+    if c.peek() == ",":
+        c.take(",")
+        c.natural()  # raises: no natural number follows the comma
+    return out
 
 
 def parse_rational(text: str) -> Fraction:

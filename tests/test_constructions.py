@@ -187,6 +187,15 @@ def test_build_sequence_mixed_params():
     assert sets_equal(spec.sets[1], quotient_lower(3, alternating_blocks(2)))
 
 
+def test_build_sequence_long_family_independent_at_half():
+    # five terms: the last set has period 2*4*8*16*32 = 32768
+    spec = build_sequence((2, 3, 5, 9, 17))
+    assert max(s.qlen for s in spec.sets) == 32768
+    report = indep_family_at(list(spec.sets), Fraction(1, 2))
+    assert report.independent
+    assert len(report.conditions) == 26
+
+
 def test_build_sequence_validation():
     with pytest.raises(ValueError):
         build_sequence(())

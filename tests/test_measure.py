@@ -16,7 +16,7 @@ from geomindep.sets import (
     translate,
     union,
 )
-from support import rand_ratio, rand_set
+from support import measure_at_reference, rand_ratio, rand_set, rand_wide_pattern
 
 ODDS = EPSet(0, (), 2, (1,))
 
@@ -119,3 +119,21 @@ def test_measure_is_a_probability():
         s = rand_set(rng)
         v = measure_at(s, r)
         assert 0 <= v <= 1
+
+
+def test_measure_at_matches_fraction_sum_at_long_periods():
+    rng = random.Random(6206)
+    ratios = (Fraction(1, 2), Fraction(7, 10), Fraction(999, 1000), Fraction(1, 3))
+    for i in range(24):
+        min_qlen = 1024 if i % 4 == 0 else 1
+        plen, pre, qlen, off = rand_wide_pattern(rng, 70, min_qlen, 1024)
+        plen = (0, 1, plen)[i % 3]
+        pre = tuple(k for k in pre if k < plen)
+        if i % 2:
+            # atom 0 is a member, so its zero mass must be skipped
+            pre, off = (pre, off + (0,)) if plen == 0 else (pre + (0,), off)
+        s = EPSet(plen, tuple(sorted(set(pre))), qlen, tuple(sorted(set(off))))
+        f = FiniteSet(tuple(k for k in range(plen + qlen) if k in s))
+        for r in ratios:
+            assert measure_at(s, r) == measure_at_reference(s, r)
+            assert measure_at(f, r) == measure_at_reference(f, r)

@@ -25,7 +25,14 @@ from geomindep.sets import (
     translate,
     union,
 )
-from support import members_upto, rand_epset, rand_finite, rand_set
+from support import (
+    members_upto,
+    rand_epset,
+    rand_finite,
+    rand_set,
+    rand_wide_pattern,
+    raw_member,
+)
 
 ODDS = EPSet(0, (), 2, (1,))
 
@@ -220,3 +227,92 @@ def test_equality_ignores_representation():
         reps = rng.randint(1, 3)
         fat_off = tuple(o + k * qlen for k in range(reps) for o in off)
         assert EPSet(plen, pre, qlen * reps, tuple(sorted(fat_off))) == s
+
+
+# periods on both sides of 64-bit word boundaries, with small lcms
+WIDE_PERIODS = (32, 48, 63, 64, 65, 96, 128, 192, 256, 384, 512)
+
+
+def is_canonical(s):
+    """No proper divisor of qlen is a period, and no prefix position folds."""
+    off = set(s.off)
+    for d in range(1, s.qlen):
+        if s.qlen % d == 0 and all((o in off) == (o % d in off) for o in range(s.qlen)):
+            return False
+    return not (s.plen and ((s.plen - 1) in s.pre) == ((s.qlen - 1) in off))
+
+
+def test_wide_canonical_forms_are_minimal_and_exact():
+    rng = random.Random(4407)
+    for _ in range(80):
+        raw = rand_wide_pattern(rng)
+        s = EPSet(*raw)
+        assert is_canonical(s)
+        assert raw[2] % s.qlen == 0 and s.plen <= raw[0]
+        horizon = raw[0] + 2 * raw[2]
+        assert members_upto(s, horizon) == [k for k in range(horizon + 1) if raw_member(raw, k)]
+        assert EPSet(s.plen, s.pre, s.qlen, s.off) == s
+
+
+def test_wide_set_algebra_matches_pointwise_oracle():
+    rng = random.Random(4408)
+    for _ in range(40):
+        qa, qb = rng.choice(WIDE_PERIODS), rng.choice(WIDE_PERIODS)
+        ra = rand_wide_pattern(rng, min_qlen=qa, max_qlen=qa)
+        rb = rand_wide_pattern(rng, min_qlen=qb, max_qlen=qb)
+        a, b = EPSet(*ra), EPSet(*rb)
+        t = rng.randint(0, 70)
+        e = FiniteSet(tuple(rng.sample(range(40), 3)))
+        n = max(ra[0], rb[0]) + 2 * lcm(ra[2], rb[2]) + t + 40
+        ma = [raw_member(ra, k) for k in range(n + 1)]
+        mb = [raw_member(rb, k) for k in range(n + 1)]
+
+        def oracle(pred):
+            return [k for k in range(n + 1) if pred(k)]
+
+        results = {
+            "union": (union(a, b), oracle(lambda k: ma[k] or mb[k])),
+            "intersect": (intersect(a, b), oracle(lambda k: ma[k] and mb[k])),
+            "diff": (diff(a, b), oracle(lambda k: ma[k] and not mb[k])),
+            "complement": (complement(a), oracle(lambda k: not ma[k])),
+            "translate": (translate(a, t), oracle(lambda k: k >= t and ma[k - t])),
+            "minkowski": (
+                minkowski(e, b),
+                oracle(lambda k: any(k >= x and mb[k - x] for x in e)),
+            ),
+        }
+        for name, (got, expected) in results.items():
+            assert members_upto(got, n) == expected, name
+            assert is_canonical(got), name
+        m = rng.randint(0, n)
+        assert prefix(a, m) == FiniteSet(tuple(oracle(lambda k: k <= m and ma[k])))
+
+
+def test_wide_boolean_laws_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def build(plen, qlen, pre_bits, off_bits):
+        pre = tuple(k for k in range(plen) if pre_bits >> k & 1)
+        off = tuple(o for o in range(qlen) if off_bits >> o & 1)
+        return EPSet(plen, pre, qlen, off)
+
+    wide = st.builds(
+        build,
+        st.integers(0, 70),
+        st.sampled_from(WIDE_PERIODS),
+        st.integers(0, (1 << 70) - 1),
+        st.integers(0, (1 << 512) - 1),
+    )
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(wide, wide, wide)
+    def laws(a, b, c):
+        assert complement(complement(a)) == a
+        assert union(a, b) == union(b, a)
+        assert complement(union(a, b)) == intersect(complement(a), complement(b))
+        assert intersect(a, union(b, c)) == union(intersect(a, b), intersect(a, c))
+        assert diff(a, b) == intersect(a, complement(b))
+        assert is_subset(intersect(a, b), a)
+
+    laws()

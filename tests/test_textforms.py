@@ -68,6 +68,30 @@ def test_parse_set_errors_carry_positions():
         parse_set("blocks(3)")
 
 
+def test_list_errors_keep_their_messages_and_positions():
+    cases = {
+        "fin(1,-2)": ("expected a natural number", 6),
+        "fin(1,)": ("expected a digit", 6),
+        "fin(3,2)": ("elements must be strictly ascending", 6),
+        "ep(P=0;pre=;Q=9;off=1,20,3)": ("elements must be strictly ascending", 25),
+    }
+    for text, (message, pos) in cases.items():
+        with pytest.raises(ParseError) as err:
+            parse_set(text)
+        assert err.value.pos == pos
+        assert str(err.value) == f"{message} (position {pos})"
+
+
+def test_roundtrip_long_periodic_set():
+    rng = random.Random(2204)
+    off = tuple(sorted(rng.sample(range(8192), 4096)))
+    s = EPSet(3, (1,), 8192, off)
+    text = format_set(s)
+    assert len(s.off) == 4096
+    assert parse_set(text) == s
+    assert format_set(parse_set(text)) == text
+
+
 def test_format_examples():
     assert format_rational(Fraction(2, 3)) == "2/3"
     assert format_rational(Fraction(5)) == "5"
